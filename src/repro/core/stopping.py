@@ -184,8 +184,11 @@ class CIWidth(StoppingRule):
     The full width of the two-sided interval, ``2 z stderr_i``, must drop
     below ``width`` for every type with a finite stderr.  With
     ``relative=True`` the width is measured in units of the estimated
-    concentration (types with zero concentration are excluded — an
-    unreachable type would otherwise make any relative target vacuous).
+    concentration.  Only types the walk cannot reach
+    (``meta["unreachable"]``) are excluded there: a reachable type the
+    run has not observed yet has an unbounded relative width, so it
+    holds the rule back until it is seen (or another rule, such as the
+    step cap, ends the run).
     """
 
     width: float
@@ -223,8 +226,9 @@ class CIWidth(StoppingRule):
             conc = np.asarray(probe.estimate.concentrations, dtype=np.float64)
         except ValueError:
             return False
-        mask = finite & np.isfinite(conc) & (conc > 0)
-        if not mask.any():
+        mask = finite & np.isfinite(conc)
+        mask[list(getattr(probe.estimate, "unreachable", ()))] = False
+        if not mask.any() or np.any(conc[mask] <= 0):
             return False
         widths = 2.0 * self.z * stderr[mask] / conc[mask]
         return bool(widths.max() <= self.width)

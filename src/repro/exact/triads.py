@@ -10,8 +10,9 @@ undirected edge toward its smaller-degree endpoint, so the total probe
 work is ``sum(min(d_u, d_v))`` instead of ``sum(d^2)`` — a decade less
 on hub-heavy graphs — and batches the membership probes through one
 ``searchsorted`` per chunk.  The same kernel feeds two consumers: the
-exact-truth functions here and the fused G(3) walk kernel's triangle
-table (:mod:`repro.relgraph.fused`), one census for both.
+exact-truth functions here and the fused G(3)/G(4) walk kernel's triangle
+table (:mod:`repro.relgraph.fused`, cached per graph by
+:meth:`~repro.graphs.csr.CSRGraph.edge_triangles`), one census for both.
 
 :func:`triad_census` additionally fans the canonical-edge range over a
 process pool in work-balanced blocks (``jobs=N``), with deterministic
@@ -33,8 +34,12 @@ from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
 
 #: Probe budget per vectorized intersection chunk; bounds the scratch
-#: arrays (candidate gather + composite keys) to a few hundred MB.
-TRI_CHUNK = 4_000_000
+#: arrays (candidate gather + composite keys) to ~15 MB.  Smaller chunks
+#: cost no time — on the 1e5-edge ``pokec`` stand-in (~1e6 probes) a
+#: 2**18 chunk builds the table as fast as one 4e6 chunk — while the
+#: walk engines' lazily built triangle table no longer lifts a
+#: request's peak RSS by the ~20 MB of one whole-graph chunk.
+TRI_CHUNK = 1 << 18
 
 #: Canonical-edge blocks handed out per worker: several small blocks
 #: beat one big one because probe work is skewed toward hub edges.
@@ -99,7 +104,6 @@ def edge_triangle_counts(
     indices: np.ndarray,
     *,
     degs: Optional[np.ndarray] = None,
-    rows: Optional[np.ndarray] = None,
     keys: Optional[np.ndarray] = None,
     chunk: int = TRI_CHUNK,
 ) -> np.ndarray:
@@ -110,10 +114,11 @@ def edge_triangle_counts(
     ``u`` the row containing slot ``i``).  Each undirected edge appears
     twice, so ``result.sum() == 6 * triangles``.
 
-    ``degs``/``rows``/``keys`` accept precomputed tables (``keys`` must
-    be the sorted composite keys ``rows * (n + 1) + indices`` *without*
-    any sentinel padding) so callers that already hold them — the fused
-    walk kernel — skip the rebuild.
+    ``degs``/``keys`` accept precomputed tables (``keys`` must be the
+    sorted composite keys ``row * (n + 1) + indices`` *without* any
+    sentinel padding) so callers that already hold them —
+    :meth:`CSRGraph.edge_triangles <repro.graphs.csr.CSRGraph.edge_triangles>`
+    — skip the rebuild.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -123,8 +128,7 @@ def edge_triangle_counts(
         return tri
     if degs is None:
         degs = np.diff(indptr)
-    if rows is None:
-        rows = np.repeat(np.arange(n, dtype=np.int64), degs)
+    rows = np.repeat(np.arange(n, dtype=np.int64), degs)
     stride = np.int64(n + 1)
     if keys is None:
         keys = rows * stride + indices

@@ -20,7 +20,10 @@ in the ``BENCH_*`` trajectory artifacts commit over commit.
 ``srw3-speedup`` does the same for the d >= 3 hot path: batched SRW3
 (k = 4, PSRW's regime — the expensive walks of the paper's Table 6) at
 ``chains=256`` on the CSR backend, tracking the swap-frontier engine's
-throughput commit over commit.
+throughput commit over commit.  ``srw4-speedup`` tracks SRW4 (k = 5, the
+paper's most expensive G(4) walk) the same way; its golden was recorded
+on the generic swap frontier, so the drift gate pins the fused G(4)
+kernel to it bit for bit.
 
 ``stream-smoke`` is the dynamic-graph trajectory suite: the graded
 graph is a BA graph churned through a seeded
@@ -107,6 +110,31 @@ def _srw3_speedup() -> Tuple[ExperimentSpec, ...]:
             backend="csr",
             description=(
                 "d >= 3 fast-path throughput: vectorized SRW3 (k=4) at "
+                "chains=256 on the CSR backend"
+            ),
+        ),
+    )
+
+
+def _srw4_speedup() -> Tuple[ExperimentSpec, ...]:
+    return (
+        ExperimentSpec(
+            name="srw4-speedup",
+            graph="ba:300:3:3",
+            k=5,
+            methods=("SRW4",),
+            budget=64_000,
+            trials=3,
+            base_seed=29,
+            seed_strategy="spawn",
+            starts="random",
+            # No 5-clique in BA(300, 3): NRMSE targets the rarest type
+            # with positive truth.
+            target=None,
+            chains=256,
+            backend="csr",
+            description=(
+                "G(4) fast-path throughput: vectorized SRW4 (k=5) at "
                 "chains=256 on the CSR backend"
             ),
         ),
@@ -337,6 +365,7 @@ _SUITES = {
     "autotune-smoke": _autotune_smoke,
     "css-speedup": _css_speedup,
     "srw3-speedup": _srw3_speedup,
+    "srw4-speedup": _srw4_speedup,
     "fig4": _fig4,
     "fig5": _fig5,
     "fig6": _fig6,

@@ -67,6 +67,7 @@ class CSRGraph:
         "_num_edges",
         "_nset_cache",
         "_edge_keys",
+        "_edge_tri",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -82,6 +83,7 @@ class CSRGraph:
         self._num_edges = self.indices.size // 2
         self._nset_cache: dict = {}
         self._edge_keys: Optional[np.ndarray] = None
+        self._edge_tri: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -92,10 +94,23 @@ class CSRGraph:
         if isinstance(graph, CSRGraph):
             return graph
         if not hasattr(graph, "degrees"):
+            from .access import RestrictedGraph
+
+            if isinstance(graph, RestrictedGraph):
+                raise GraphError(
+                    f"cannot build a CSRGraph from {type(graph).__name__}: full "
+                    "adjacency access is required, but a RestrictedGraph only "
+                    "exposes crawled neighborhoods"
+                )
+            hint = ""
+            if isinstance(graph, tuple) and graph and isinstance(graph[0], Graph):
+                hint = (
+                    " (a (graph, mapping) pair such as largest_connected_component "
+                    "returns? pass its first element)"
+                )
             raise GraphError(
-                f"cannot build a CSRGraph from {type(graph).__name__}: full "
-                "adjacency access is required, but a RestrictedGraph only "
-                "exposes crawled neighborhoods"
+                f"cannot build a CSRGraph from a {type(graph).__name__}: "
+                f"expected a Graph or CSRGraph{hint}"
             )
         degrees = np.asarray(graph.degrees(), dtype=np.int64)
         indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
@@ -217,27 +232,58 @@ class CSRGraph:
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized adjacency tests: ``out[i] = has_edge(us[i], vs[i])``.
 
-        Encodes every directed edge as ``u * (n + 1) + v`` — a globally
-        monotone key sequence in CSR order — so a whole batch of probes is
-        one ``searchsorted``.  The key array (built lazily, 8 bytes per
-        directed edge) is the kernel behind batched window classification.
+        One ``searchsorted`` of the whole batch against :meth:`edge_keys`
+        — the kernel behind batched window classification.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        stride = self.num_nodes + 1
+        keys = self.edge_keys()
+        probes = us * (self.num_nodes + 1) + vs
+        return keys[np.searchsorted(keys, probes)] == probes
+
+    def edge_keys(self) -> np.ndarray:
+        """Sorted directed-edge keys, built lazily and cached.
+
+        Every directed edge ``u -> v`` is encoded as ``u * (n + 1) + v``
+        — a globally monotone key sequence in CSR order, so entry ``i``
+        pairs with slot ``i`` of ``indices`` — followed by one ``int64``
+        max sentinel, so a ``searchsorted`` probe never lands out of
+        range and needs no clamp.  8 bytes per directed edge; shared by
+        :meth:`has_edges`, the fused walk kernels and
+        :meth:`edge_triangles`.  Do not mutate.
+        """
         keys = self._edge_keys
         if keys is None:
-            rows = np.repeat(
-                np.arange(self.num_nodes, dtype=np.int64), self._degrees
-            )
-            keys = rows * stride + self.indices
+            n = self.num_nodes
+            keys = np.empty(self.indices.size + 1, dtype=np.int64)
+            rows = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
+            np.multiply(rows, n + 1, out=keys[:-1])
+            keys[:-1] += self.indices
+            keys[-1] = np.iinfo(np.int64).max
             self._edge_keys = keys
-        probes = us * stride + vs
-        pos = np.searchsorted(keys, probes)
-        inside = pos < keys.size
-        out = np.zeros(us.size, dtype=bool)
-        out[inside] = keys[pos[inside]] == probes[inside]
-        return out
+        return keys
+
+    def edge_triangles(self) -> np.ndarray:
+        """Triangles through each directed edge, built lazily and cached.
+
+        Entry ``i`` is ``|N(u) ∩ N(v)|`` for the directed edge in slot
+        ``i`` of ``indices`` (:func:`repro.exact.edge_triangle_counts`),
+        followed by a 0 aligned with :meth:`edge_keys`' sentinel.  Built
+        once per graph (per version for a
+        :class:`~repro.graphs.delta.DeltaCSRGraph`), so every walk engine
+        over the graph shares one census.  Do not mutate.
+        """
+        tri = self._edge_tri
+        if tri is None:
+            from ..exact import triads
+
+            keys = self.edge_keys()
+            tri = np.zeros(keys.size, dtype=np.int64)
+            tri[:-1] = triads.edge_triangle_counts(
+                self.indptr, self.indices, degs=self._degrees, keys=keys[:-1]
+            )
+            self._edge_tri = tri
+        return tri
 
     def max_degree(self) -> int:
         """Largest degree in the graph (0 for the empty graph)."""
@@ -400,12 +446,17 @@ def as_backend(graph, backend: str, context: Optional[str] = None):
         try:
             return CSRGraph.from_graph(graph)
         except GraphError as exc:
+            from .access import RestrictedGraph
+
             site = context or 'as_backend(graph, "csr")'
-            raise GraphError(
-                f"{site}: {exc}. Pass backend=\"list\" (or omit the backend) "
-                "to keep the crawl-access wrapper as-is, or convert the "
-                "underlying full-access graph to CSR before wrapping it"
-            ) from None
+            advice = (
+                '. Pass backend="list" (or omit the backend) to keep the '
+                "crawl-access wrapper as-is, or convert the underlying "
+                "full-access graph to CSR before wrapping it"
+                if isinstance(graph, RestrictedGraph)
+                else ""
+            )
+            raise GraphError(f"{site}: {exc}{advice}") from None
     if backend == "csr-jit":
         from ..relgraph.jitkernels import HAVE_NUMBA
 

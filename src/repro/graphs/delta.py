@@ -118,6 +118,7 @@ class DeltaCSRGraph(CSRGraph):
         self._num_edges = base.num_edges
         self._nset_cache: dict = {}
         self._edge_keys = None
+        self._edge_tri = None
         # Append-only operation log (int32 endpoints + tombstone bitmap).
         self._log_u = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
         self._log_v = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
@@ -181,6 +182,7 @@ class DeltaCSRGraph(CSRGraph):
         self._rebuild_delta_keys()
         self._mat = None
         self._edge_keys = None
+        self._edge_tri = None
         self.version += 1
         return self.version
 
@@ -254,6 +256,7 @@ class DeltaCSRGraph(CSRGraph):
         self._num_edges = fresh.num_edges
         self._nset_cache = {}
         self._edge_keys = None
+        self._edge_tri = None
         self._log_u = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
         self._log_v = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
         self._log_del = np.zeros(_LOG_INITIAL_CAPACITY, dtype=bool)

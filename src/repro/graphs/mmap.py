@@ -225,6 +225,7 @@ class MmapCSRGraph(CSRGraph):
         self._num_edges = indices.size // 2
         self._nset_cache = {}
         self._edge_keys = None
+        self._edge_tri = None
         self.directory = directory
 
     @classmethod

@@ -140,6 +140,7 @@ class SharedCSRGraph(CSRGraph):
         self._num_edges = nnz // 2
         self._nset_cache = {}
         self._edge_keys = None
+        self._edge_tri = None
         self._shm = shm
         self._handle = handle
         self._owner = owner
@@ -217,6 +218,7 @@ class SharedCSRGraph(CSRGraph):
         self.indices = empty
         self._degrees = empty
         self._edge_keys = None
+        self._edge_tri = None
         self._nset_cache = {}
         self._shm.close()
 

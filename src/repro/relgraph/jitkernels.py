@@ -2,7 +2,7 @@
 
 The ``csr-jit`` backend (:func:`repro.graphs.as_backend`) routes the
 innermost ragged-gather/dedup loops of
-:class:`~repro.relgraph.fused.FusedD3Kernel` — triangle-count builds,
+:class:`~repro.relgraph.fused.FusedKernel` (d = 3) — triangle-count builds,
 segment counting/ranking and segment selection — through the compiled
 two-pointer merges below instead of the NumPy sort pipeline.  Outputs
 are bit-identical: both paths walk the same sorted CSR rows in the same

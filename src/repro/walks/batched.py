@@ -19,10 +19,14 @@ only the rejected lanes.  For d >= 3 — the G(3)/G(4) regime the paper's
 Table 6 singles out as an order of magnitude slower — the space
 enumerates every chain's swap-candidate frontier in one batched
 sort/``searchsorted`` pass and samples by rank, so SRW3/SRW4/PSRW sweeps
-ride the same lockstep engine.  Non-backtracking variants (§4.2) exclude
-the previous state (rejection lanes for d <= 2, an exact rank-exclusion
-draw for d >= 3) with the forced-backtrack rule on degree-1 states,
-exactly mirroring the serial walkers' semantics.
+ride the same lockstep engine.  For d = 3 and d = 4 the engine skips
+that enumeration: the fused kernel (:mod:`repro.relgraph.fused`) counts
+each swap-out segment in closed form from per-edge triangle counts and
+materializes only the segment a chain draws from, with bit-identical
+draws; d >= 5 keeps the generic frontier.  Non-backtracking variants
+(§4.2) exclude the previous state (rejection lanes for d <= 2, an exact
+rank-exclusion draw for d >= 3) with the forced-backtrack rule on
+degree-1 states, exactly mirroring the serial walkers' semantics.
 
 The engine only *walks*; windowing and graphlet classification stay with
 the estimator (:func:`repro.core.estimator.run_estimation` with
@@ -45,7 +49,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..graphs.csr import CSRGraph, JitCSRGraph
-from ..relgraph.fused import FusedD3Kernel
+from ..relgraph.fused import FusedKernel
 from ..relgraph.vectorized import VectorSpace, vector_space
 
 #: Steps per vectorized block when draining the engine incrementally; big
@@ -149,12 +153,14 @@ class BatchedWalkEngine:
         before resuming (see :mod:`repro.streaming`).
     fused:
         Use the closed-form fused kernel
-        (:class:`~repro.relgraph.fused.FusedD3Kernel`) for d = 3
-        transitions when available.  Bit-identical to the generic path
-        for any fixed seed — this is a performance switch, kept only so
-        benchmarks can time the unfused baseline.  When the substrate is
-        a :class:`~repro.graphs.csr.JitCSRGraph` (``backend="csr-jit"``)
-        and numba is importable, the kernel's inner loops run compiled.
+        (:class:`~repro.relgraph.fused.FusedKernel`) for d = 3 and d = 4
+        transitions when available (d >= 5 always runs the generic swap
+        frontier).  Bit-identical to the generic path for any fixed seed
+        — this is a performance switch, kept only so benchmarks and
+        parity tests can run the unfused baseline.  When the substrate
+        is a :class:`~repro.graphs.csr.JitCSRGraph` (``backend="csr-jit"``)
+        and numba is importable, the d = 3 kernel's inner loops run
+        compiled.
     """
 
     def __init__(
@@ -206,15 +212,15 @@ class BatchedWalkEngine:
             self._cur = self.space.initial(csr, rng, starts)
         self._prev = None  # previous states, set once NB chains have moved
 
-        self._fused: Optional[FusedD3Kernel] = None
-        if fused and d == 3:
+        self._fused: Optional[FusedKernel] = None
+        if fused and d in (3, 4):
             jit = None
             if isinstance(csr, JitCSRGraph):
                 from ..relgraph import jitkernels
 
                 if jitkernels.HAVE_NUMBA:  # pragma: no cover - numba CI leg
                     jit = jitkernels
-            self._fused = FusedD3Kernel(csr, jit=jit)
+            self._fused = FusedKernel(csr, d, jit=jit)
 
     # ------------------------------------------------------------------
     # Public stepping API

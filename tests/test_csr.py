@@ -132,6 +132,22 @@ class TestStructuralParity:
         with pytest.raises(GraphError, match="full adjacency access"):
             as_backend(RestrictedGraph(karate), "csr")
 
+    def test_non_graph_conversion_names_the_type(self, karate):
+        from repro.graphs.components import largest_connected_component
+
+        pair = largest_connected_component(karate)
+        for bad in (pair, [1, 2], None):
+            with pytest.raises(GraphError) as info:
+                CSRGraph.from_graph(bad)
+            message = str(info.value)
+            assert type(bad).__name__ in message
+            assert "RestrictedGraph" not in message
+        with pytest.raises(GraphError, match="pass its first element"):
+            as_backend(pair, "csr")
+        with pytest.raises(GraphError) as info:
+            as_backend(pair, "csr")
+        assert "crawl-access" not in str(info.value)
+
     def test_empty_and_isolated(self):
         empty = CSRGraph.from_graph(Graph(0))
         assert empty.num_nodes == 0 and empty.num_edges == 0

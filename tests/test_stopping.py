@@ -379,3 +379,52 @@ class TestCadenceTailWindows:
         assert stopping["steps"] == 2_500  # 1000 + 1000 + clamped 500
         assert stopping["satisfied"]
         assert stopping["fired"] == "reached:2400"
+
+
+# ----------------------------------------------------------------------
+# Relative CI width: unobserved reachable types block the rule
+# ----------------------------------------------------------------------
+class TestRelativeCIUnobservedTypes:
+    @staticmethod
+    def _probe(concentrations, stderr, unreachable=()):
+        from repro.core import Estimate
+
+        est = Estimate(
+            method="srw2css",
+            k=4,
+            concentrations=concentrations,
+            stderr=stderr,
+            meta={"unreachable": tuple(unreachable)},
+        )
+        return StopProbe(estimate=est, steps=100, budget=1_000)
+
+    def test_zero_estimate_on_a_reachable_type_blocks(self):
+        rule = CIWidth(0.5, relative=True)
+        probe = self._probe([0.6, 0.4, 0.0], [0.01, 0.01, 0.0])
+        assert not rule.satisfied(probe)
+
+    def test_unreachable_types_are_excluded(self):
+        rule = CIWidth(0.5, relative=True)
+        probe = self._probe([0.6, 0.4, 0.0], [0.01, 0.01, 0.0], unreachable=(2,))
+        assert rule.satisfied(probe)
+
+    def test_fixed_seed_run_does_not_stop_before_seeing_the_clique(self):
+        # On this graph the SRW2CSS 4-clique estimate stays 0 (stderr 0)
+        # for the first ~100k steps; a relative target used to fire at
+        # 86.5k steps with the clique never observed.
+        from repro.graphs.components import largest_connected_component
+        from repro.graphs.generators import powerlaw_cluster
+
+        graph, _ = largest_connected_component(
+            powerlaw_cluster(3000, 3, 0.05, seed=4)
+        )
+        result = estimate(
+            graph, "srw2css", k=4, chains=8, backend="csr",
+            target="rci:0.5|steps:200000", check_every=500, seed=3,
+        )
+        stopping = result.meta["stopping"]
+        assert result.steps > 86_500
+        if stopping["fired"] == "rci:0.5":
+            assert (result.concentrations > 0).all()
+        else:
+            assert result.steps == 200_000
